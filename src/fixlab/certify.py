@@ -18,6 +18,18 @@ The searches exploit one monotonicity fact: ranks of subgroups of a
 finitely generated abelian group never exceed the ambient rank, so a
 candidate overgroup whose abelianized image already has rank >= rank(H)
 can be discarded without computing its exact rank.
+
+Many candidate generator sets generate the same subgroup, and whether a
+candidate K is a witness depends only on K.  So each search keeps a
+per-call memo keyed on the canonical Subgroup: a K met before is
+skipped (it was checked the first time and gave no witness), and ranks
+of meets and sampled subgroups are computed once.  Before combining, the
+searches also drop every pool element whose inverse comes earlier in the
+pool: a subgroup contains g exactly when it contains g^-1, so a
+combination using the later one generates the same K as a
+lexicographically earlier combination.  Neither changes which witness
+is found first.  The memos are locals of one call; nothing is kept
+between calls.
 """
 
 from __future__ import annotations
@@ -88,16 +100,34 @@ def classify(spec: GroupSpec) -> Classification:
 # ----------------------------------------------------- abelian image and rank
 
 
+def _abelian_image(
+    gens: Sequence[Element],
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Images of gens in the abelianization of the ambient group, as
+    (2-torsion parts, free parts): a-exponents mod 2 and torsion bits
+    are 2-torsion, b- and free exponents are free coordinates."""
+    bits = [tuple(s % 2 for s, _ in g.klein) + g.tor for g in gens]
+    free = [tuple(t for _, t in g.klein) + g.free for g in gens]
+    return bits, free
+
+
 def abelian_image_rank(gens: Sequence[Element]) -> int:
     """Rank of the image of <gens> in the abelianization of the ambient
-    group (a-exponents mod 2 and torsion bits are 2-torsion, b- and
-    free exponents are free coordinates)."""
-    bits = []
-    free = []
-    for g in gens:
-        bits.append(tuple(s % 2 for s, _ in g.klein) + g.tor)
-        free.append(tuple(t for _, t in g.klein) + g.free)
-    return abelian_subgroup_rank(bits, free)
+    group."""
+    return abelian_subgroup_rank(*_abelian_image(gens))
+
+
+def _memo_rank():
+    """rank() memoised on the canonical subgroup, for one search call."""
+    cache: dict[Subgroup, RankCertificate] = {}
+
+    def memo(s: Subgroup) -> RankCertificate:
+        cert = cache.get(s)
+        if cert is None:
+            cert = cache[s] = rank(s)
+        return cert
+
+    return memo
 
 
 @dataclass(frozen=True)
@@ -201,6 +231,17 @@ def enumerate_candidate_elements(spec: GroupSpec, max_word_len: int) -> list[Ele
     return out
 
 
+def _drop_later_inverses(pool: Sequence[Element]) -> list[Element]:
+    """pool without the elements whose inverse comes earlier in it."""
+    earlier = set()
+    kept = []
+    for g in pool:
+        if g.inv() not in earlier:
+            kept.append(g)
+        earlier.add(g)
+    return kept
+
+
 def search_compression_counterexample(
     h: Subgroup, max_word_len: int = 3, max_extra_gens: int = 1
 ) -> Optional[Witness]:
@@ -211,14 +252,13 @@ def search_compression_counterexample(
     if not h_rank.exact:
         raise ValueError("search requires an exact rank certificate for h")
     base = h.stored_generators()
-    base_bits = [tuple(s % 2 for s, _ in g.klein) + g.tor for g in base]
-    base_free = [tuple(t for _, t in g.klein) + g.free for g in base]
+    base_bits, base_free = _abelian_image(base)
     if abelian_subgroup_rank(base_bits, base_free) >= h_rank.value:
         # every overgroup keeps at least this rank; no witness can exist
         return None
-    pool = enumerate_candidate_elements(h.spec, max_word_len)
-    pool_bits = [tuple(s % 2 for s, _ in g.klein) + g.tor for g in pool]
-    pool_free = [tuple(t for _, t in g.klein) + g.free for g in pool]
+    pool = _drop_later_inverses(enumerate_candidate_elements(h.spec, max_word_len))
+    pool_bits, pool_free = _abelian_image(pool)
+    seen: set[Subgroup] = set()
     for size in range(1, max_extra_gens + 1):
         for idx in itertools.combinations(range(len(pool)), size):
             bits = base_bits + [pool_bits[i] for i in idx]
@@ -226,6 +266,9 @@ def search_compression_counterexample(
             if abelian_subgroup_rank(bits, free) >= h_rank.value:
                 continue
             k = from_generators(h.spec, base + [pool[i] for i in idx])
+            if k in seen:
+                continue
+            seen.add(k)
             if not containment(h, k):
                 continue
             k_rank = rank(k)
@@ -241,15 +284,20 @@ def search_inertia_counterexample(
     """First K generated by candidate words (fewest generators first)
     with rank(h meet K) > rank(K), both ranks exact; None if exhausted."""
     h_rank = rank(h)
-    pool = enumerate_candidate_elements(h.spec, max_word_len)
+    meet_rank_of = _memo_rank()
+    pool = _drop_later_inverses(enumerate_candidate_elements(h.spec, max_word_len))
+    seen: set[Subgroup] = set()
     for size in range(1, max_gens + 1):
         for combo in itertools.combinations(pool, size):
             k = from_generators(h.spec, list(combo))
+            if k in seen:
+                continue
+            seen.add(k)
             k_rank = rank(k)
             if not k_rank.exact:
                 continue
             meet = intersect(h, k)
-            meet_rank = rank(meet)
+            meet_rank = meet_rank_of(meet)
             if not meet_rank.exact:
                 continue
             if meet_rank.value > k_rank.value:
@@ -263,9 +311,12 @@ def search_inertia_counterexample(
 
 
 def _random_word(spec: GroupSpec, rng: random.Random, word_len: int) -> Element:
+    gens = spec.generators()
     g = spec.identity()
+    if not gens:
+        return g
     for _ in range(rng.randint(1, word_len)):
-        base = rng.choice(spec.generators())
+        base = rng.choice(gens)
         g = g * (base if rng.random() < 0.5 else base.inv())
     return g
 
@@ -315,17 +366,16 @@ def sample_inertia_property(
     counted.  injected_pairs are checked before the random stream (they
     do not count as trials) so known adversarial pairs can be replayed.
     """
-    if spec.klein_count == 0:
-        pass  # abelian specs are fine, just uninteresting
     rng = random.Random(seed)
+    rank_of = _memo_rank()
     checked = skipped = 0
     violations = []
 
     def run_pair(h: Subgroup, k: Subgroup):
         nonlocal checked, skipped
-        k_rank = rank(k)
+        k_rank = rank_of(k)
         meet = intersect(h, k)
-        meet_rank = rank(meet)
+        meet_rank = rank_of(meet)
         if not (k_rank.exact and meet_rank.exact):
             skipped += 1
             return

@@ -1,5 +1,6 @@
 """Classification, certificates, searches, sampler, and the check suite."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -11,6 +12,7 @@ from fixlab.certify import (
     classify,
     enumerate_candidate_elements,
     paper_suite,
+    random_subgroup,
     revalidate_witness,
     sample_inertia_property,
     search_compression_counterexample,
@@ -18,7 +20,12 @@ from fixlab.certify import (
 )
 from fixlab.groupcore import Element, GroupSpec, format_element, parse_word
 from fixlab.morphism import endo_from_words, fixed_subgroup
-from fixlab.subgroup import RankCertificate, from_generators, special_subgroup
+from fixlab.subgroup import RankCertificate, from_generators, rank, special_subgroup
+from oracles import (
+    reference_compression_search,
+    reference_inertia_sample,
+    reference_inertia_search,
+)
 
 KF = GroupSpec(1, 1, 0)
 K = GroupSpec(1, 0, 0)
@@ -197,6 +204,60 @@ def test_inertia_sampler_reports_injected_violation():
     assert "meet_rank=3 k_rank=2" in report.violations[0]
     assert not report.passed
     assert "violations=1" in report.render()
+
+
+# ------------------------------------------------ searches against the oracle
+
+SEARCH_CASES = [
+    # two-block inertia and twist-fix compression from the paper suite
+    ("inertia", GroupSpec(2, 0, 0), ("a1", "b1^2", "a2"), 3, 2),
+    ("compression", GroupSpec(1, 2, 1), ("a1^2", "b1^2", "a1 c1", "d1"), 3, 2),
+    # the README examples, at the CLI's default bounds
+    ("compression", KF, ("a1^2", "b1^2", "c1^2"), 3, 3),
+    ("inertia", KF, ("a1", "b1^2", "c1"), 3, 3),
+    # no witness within bounds
+    ("inertia", K, ("a1", "b1"), 2, 2),
+    ("inertia", GroupSpec(1, 0, 1), ("a1", "b1"), 2, 2),
+    ("inertia", GroupSpec(2, 0, 0), ("a1", "b1"), 1, 3),
+    ("compression", K, ("a1^2", "b1"), 2, 2),
+    ("compression", KF, ("a1", "b1^2", "c1"), 2, 2),
+]
+
+
+@pytest.mark.parametrize("kind,spec,words,word_len,gens", SEARCH_CASES)
+def test_search_matches_reference(kind, spec, words, word_len, gens):
+    h = sub(spec, *words)
+    if kind == "inertia":
+        got = search_inertia_counterexample(h, word_len, gens)
+        want = reference_inertia_search(h, word_len, gens)
+    else:
+        got = search_compression_counterexample(h, word_len, gens)
+        want = reference_compression_search(h, word_len, gens)
+    assert got == want
+
+
+def test_searches_match_reference_on_random_subgroups():
+    # seed 33 draws one subgroup with an inertia witness at these bounds
+    rng = random.Random(33)
+    for spec in (K, KF, GroupSpec(1, 0, 1)):
+        for _ in range(2):
+            h = random_subgroup(spec, rng, gen_bound=2, word_len=3)
+            assert search_inertia_counterexample(h, 2, 2) == reference_inertia_search(
+                h, 2, 2
+            )
+            if rank(h).exact:
+                assert search_compression_counterexample(
+                    h, 2, 2
+                ) == reference_compression_search(h, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "spec,seed", [(GroupSpec(1, 0, 2), 5), (GroupSpec(2, 0, 1), 6), (GroupSpec(1, 1, 1), 7)]
+)
+def test_sampler_matches_reference(spec, seed):
+    assert sample_inertia_property(spec, 30, seed=seed) == reference_inertia_sample(
+        spec, 30, seed=seed
+    )
 
 
 # ------------------------------------------------------------------ the suite

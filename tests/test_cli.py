@@ -276,6 +276,13 @@ def test_sample_inertia_deterministic(capsys):
     assert first == second
 
 
+def test_sample_inertia_on_trivial_group(capsys):
+    code, out, err = run(capsys, "sample-inertia", "-g", "1", "--trials", "20")
+    assert (code, out, err) == (
+        0, "inertia-sample trials=20 checked=20 skipped=0 violations=0\n", ""
+    )
+
+
 def test_paper_suite_quick(capsys):
     code, out, _ = run(capsys, "paper-suite", "--scale", "quick")
     lines = out.strip().splitlines()
