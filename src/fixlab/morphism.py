@@ -7,22 +7,31 @@ cross-factor commuting), so every constructed value really is a
 homomorphism.
 
 Fixed subgroups are computed exactly by splitting the group along all
-exponent parities: writing each exponent as (parity + 2 * unknown) makes
-every coordinate of phi(g) an affine integer form in the unknowns,
-because the sign twists (-1)^t only ever see parity constants.  Each
-parity class then contributes one exact linear system; class-0 kernel
-vectors plus one canonical solution per solvable class generate the
-fixed subgroup.
+exponent parities.  Fixed points can only lie in parity classes that the
+induced map phi_bar on (Z/2)^(2l+p+q) fixes, and those classes are found
+by GF(2) elimination instead of a sweep over all 2^(2l+p+q).  Writing
+each exponent as (parity + 2 * unknown) makes every exponent of phi(g)
+affine in the unknowns, because the sign twists (-1)^t only ever see
+parity constants, so each such class contributes one integer linear
+system, built directly from phi of the class's base element and the
+images of the generators' squares.  Class-0 kernel vectors plus one
+canonical solution per solvable class generate the fixed subgroup.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .groupcore import Element, GroupSpec, format_element, parse_word
+from .groupcore import (
+    Element,
+    GroupSpec,
+    conjugation_signs,
+    format_element,
+    parity_class,
+    parse_word,
+)
 from .intlat import IntMatrix, solve_linear
 from .subgroup import Subgroup, from_generators, intersect, special_subgroup
 
@@ -65,10 +74,6 @@ class Endomorphism:
                             raise ValueError(
                                 f"images of {x} and {y} must commute"
                             )
-
-    def image_of(self, name: str) -> Element:
-        names = self.spec.generator_names()
-        return self.images[names.index(name)]
 
 
 def apply(endo: Endomorphism, g: Element) -> Element:
@@ -159,93 +164,74 @@ def random_endo(
 
 # ------------------------------------------------------------ fixed subgroups
 #
-# Affine integer forms (c0, c1, ..., cN): value c0 + sum ci * xi.  All
-# exponent substitutions are parity + 2 * unknown, so every form carries
-# even unknown coefficients; parities of form values are therefore class
-# constants, which is what keeps the Klein sign twists linear.
+# The parity class map is a homomorphism onto (Z/2)^(2l+p+q), so phi
+# induces the GF(2)-linear map phi_bar whose column j is the parity class
+# of images[j].  A fixed point's class is fixed by phi_bar, so only the
+# classes in ker(phi_bar + I) are solved.
+#
+# Inside a class, every element is g = g0 * prod u_j^x_j: g0 carries the
+# class bits as its exponents and u_j is the square of generator j, taken
+# as a_i^-2 when b_i's bit is odd so that g0 * u_j raises exponent j by
+# two.  Squares have only even exponents, and on such elements the
+# exponents add, so phi(g) = phi(g0) * w with w's exponents
+# sum x_j * exponents(phi(u_j)).  Multiplying by phi(g0) flips w's
+# a-exponents where phi(g0) has an odd b-exponent, and phi(g0) lies in
+# the class of g0, so the same sign vector acts on rows and columns.
 
 
-def _form_const(c: int, n: int) -> tuple[int, ...]:
-    return (c,) + (0,) * n
+def _exponents(g: Element) -> list[int]:
+    """The 2l + p integer exponents of g in normal-form order."""
+    return [e for pair in g.klein for e in pair] + list(g.free)
 
 
-def _form_add(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(f, g))
-
-
-def _form_scale(f: Sequence[int], k: int) -> tuple[int, ...]:
-    return tuple(k * x for x in f)
-
-
-def _form_parity(f: Sequence[int]) -> int:
-    assert all(c % 2 == 0 for c in f[1:]), "unknown coefficient must be even"
-    return f[0] % 2
-
-
-@dataclass
-class _SymElement:
-    """Group element whose exponents are affine forms (torsion bits stay
-    plain ints)."""
-
-    klein: list[tuple[tuple[int, ...], tuple[int, ...]]]
-    free: list[tuple[int, ...]]
-    tor: list[int]
-
-
-def _sym_identity(spec: GroupSpec, n: int) -> _SymElement:
-    zero = _form_const(0, n)
-    return _SymElement(
-        [(zero, zero) for _ in range(spec.klein_count)],
-        [zero for _ in range(spec.free_rank)],
-        [0] * spec.torsion_count,
-    )
-
-
-def _sym_mul(x: _SymElement, y: _SymElement) -> _SymElement:
-    klein = []
-    for (s1, t1), (s2, t2) in zip(x.klein, y.klein):
-        sign = -1 if _form_parity(t1) else 1
-        klein.append((_form_add(s1, _form_scale(s2, sign)), _form_add(t1, t2)))
-    free = [_form_add(f1, f2) for f1, f2 in zip(x.free, y.free)]
-    tor = [e1 ^ e2 for e1, e2 in zip(x.tor, y.tor)]
-    return _SymElement(klein, free, tor)
-
-
-def _sym_pow(g: Element, k_form: Sequence[int], n: int) -> _SymElement:
-    """Concrete element raised to an affine exponent (which must have
-    even unknown coefficients)."""
-    k_parity = _form_parity(k_form)
-    klein = []
-    for s, t in g.klein:
-        if t % 2 == 0:
-            klein.append((_form_scale(k_form, s), _form_scale(k_form, t)))
-        else:
-            klein.append((_form_const(s * k_parity, n), _form_scale(k_form, t)))
-    free = [_form_scale(k_form, v) for v in g.free]
-    tor = [e * k_parity for e in g.tor]
-    return _SymElement(klein, free, tor)
+def _fixed_classes(endo: Endomorphism) -> list[tuple[int, ...]]:
+    """ker(phi_bar + I) by GF(2) elimination, in lexicographic order
+    (the order of FixResult.class_reps)."""
+    n = endo.spec.parity_dim
+    cols = [parity_class(img) for img in endo.images]
+    rows = [[cols[j][r] ^ (r == j) for j in range(n)] for r in range(n)]
+    pivots = []
+    for c in range(n):
+        k = len(pivots)
+        pr = next((r for r in range(k, n) if rows[r][c]), None)
+        if pr is None:
+            continue
+        rows[k], rows[pr] = rows[pr], rows[k]
+        for r in range(n):
+            if r != k and rows[r][c]:
+                rows[r] = [x ^ y for x, y in zip(rows[r], rows[k])]
+        pivots.append(c)
+    span = {(0,) * n}
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [0] * n
+        v[f] = 1
+        for k, c in enumerate(pivots):
+            v[c] = rows[k][f]
+        span |= {tuple(x ^ y for x, y in zip(w, v)) for w in span}
+    return sorted(span)
 
 
 @dataclass(frozen=True)
 class FixResult:
     """Fixed subgroup plus the per-parity-class evidence: one canonical
-    fixed element per solvable nonzero class, and the count of solvable
-    classes including the zero class."""
+    fixed element per solvable nonzero class, the count of solvable
+    classes including the zero class, and the count of classes whose
+    system was built (the 2^dim ker(phi_bar + I) classes that phi_bar
+    fixes)."""
 
     subgroup: Subgroup
     class_reps: tuple[Element, ...]
     solved_classes: int
+    classes_tried: int = 0
 
 
 def fixed_subgroup(endo: Endomorphism) -> FixResult:
     spec = endo.spec
-    l, p, q = spec.klein_count, spec.free_rank, spec.torsion_count
-    n_unk = 2 * l + p
-
-    def unknown_form(slot: int, parity: int) -> tuple[int, ...]:
-        coeffs = [0] * n_unk
-        coeffs[slot] = 2
-        return (parity,) + tuple(coeffs)
+    l, p = spec.klein_count, spec.free_rank
+    n_unk = spec.exponent_dim
+    squares = [_exponents(img * img) for img in endo.images[:n_unk]]
 
     def element_at(bits: Sequence[int], xhat: Sequence[int]) -> Element:
         klein = tuple(
@@ -258,48 +244,32 @@ def fixed_subgroup(endo: Endomorphism) -> FixResult:
     gens = []
     class_reps = []
     solved = 0
-    for bits in itertools.product((0, 1), repeat=2 * l + p + q):
-        exp_forms = [unknown_form(slot, bits[slot]) for slot in range(n_unk)]
-        phi = _sym_identity(spec, n_unk)
-        for i in range(l):
-            phi = _sym_mul(phi, _sym_pow(endo.images[2 * i], exp_forms[2 * i], n_unk))
-            phi = _sym_mul(
-                phi, _sym_pow(endo.images[2 * i + 1], exp_forms[2 * i + 1], n_unk)
-            )
-        for j in range(p):
-            phi = _sym_mul(
-                phi, _sym_pow(endo.images[2 * l + j], exp_forms[2 * l + j], n_unk)
-            )
-        one = _form_const(1, n_unk)
-        for k in range(q):
-            if bits[2 * l + p + k]:
-                phi = _sym_mul(phi, _sym_pow(endo.images[2 * l + p + k], one, n_unk))
-
-        if phi.tor != list(bits[2 * l + p:]):
-            continue
-        phi_forms = []
-        for s_form, t_form in phi.klein:
-            phi_forms.append(s_form)
-            phi_forms.append(t_form)
-        phi_forms.extend(phi.free)
-        rows = []
-        rhs = []
-        for f_phi, f_g in zip(phi_forms, exp_forms):
-            rows.append([a - b for a, b in zip(f_phi[1:], f_g[1:])])
-            rhs.append(f_g[0] - f_phi[0])
-        sol = solve_linear(IntMatrix.from_rows(rows, n_unk), tuple(rhs))
+    classes = _fixed_classes(endo)
+    for bits in classes:
+        g0 = element_at(bits, (0,) * n_unk)
+        image = _exponents(apply(endo, g0))
+        signs = conjugation_signs(g0)
+        rows = [
+            [signs[r] * signs[j] * squares[j][r] - 2 * (r == j) for j in range(n_unk)]
+            for r in range(n_unk)
+        ]
+        rhs = [bits[r] - image[r] for r in range(n_unk)]
+        sol = solve_linear(IntMatrix.from_rows(rows, n_unk), rhs)
         if sol is None:
             continue
         solved += 1
         if not any(bits):
-            assert not any(sol.offset), "identity must be fixed"
+            if any(sol.offset):
+                raise ArithmeticError("the identity's parity class has no fixed identity")
             for row in sol.lattice.basis.entries:
                 gens.append(element_at(bits, row))
         else:
             rep = element_at(bits, sol.offset)
             class_reps.append(rep)
             gens.append(rep)
-    return FixResult(from_generators(spec, gens), tuple(class_reps), solved)
+    return FixResult(
+        from_generators(spec, gens), tuple(class_reps), solved, len(classes)
+    )
 
 
 def fixed_family(endos: Iterable[Endomorphism]) -> Subgroup:

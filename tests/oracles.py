@@ -5,13 +5,20 @@ checked by bounded coefficient search, determinants by cofactor
 expansion, and subgroups by enumerating bounded products of generators.
 Slow but obviously correct on small inputs.
 
-The reference searches and sampler at the end are the plain loops that
-the certify module's searches speed up: every combination of the full
+The reference searches and sampler are the plain loops that the
+certify module's searches speed up: every combination of the full
 candidate pool, every rank recomputed, nothing remembered.
+
+The reference fixed-subgroup sweep at the end solves every one of the
+2^(2l+p+q) parity classes, building each class's linear system with a
+symbolic algebra of affine integer forms instead of the morphism
+module's direct matrix over the classes that phi fixes.
 """
 
 import itertools
 import random
+from dataclasses import dataclass
+from typing import Sequence
 
 from fixlab.certify import (
     InertiaReport,
@@ -19,6 +26,9 @@ from fixlab.certify import (
     enumerate_candidate_elements,
     random_subgroup,
 )
+from fixlab.groupcore import Element, GroupSpec
+from fixlab.intlat import IntMatrix, solve_linear
+from fixlab.morphism import FixResult
 from fixlab.subgroup import from_generators, generator_words, intersect, rank
 
 
@@ -194,3 +204,139 @@ def reference_inertia_sample(spec, trials, gen_bound=3, word_len=4, seed=0):
                 )
             )
     return InertiaReport(spec, trials, checked, skipped, tuple(violations))
+
+
+# ------------------------------------------------------------ fixed subgroups
+#
+# Affine integer forms (c0, c1, ..., cN): value c0 + sum ci * xi.  All
+# exponent substitutions are parity + 2 * unknown, so every form carries
+# even unknown coefficients; parities of form values are therefore class
+# constants, which is what keeps the Klein sign twists linear.
+
+
+def _form_const(c: int, n: int) -> tuple[int, ...]:
+    return (c,) + (0,) * n
+
+
+def _form_add(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
+    return tuple(x + y for x, y in zip(f, g))
+
+
+def _form_scale(f: Sequence[int], k: int) -> tuple[int, ...]:
+    return tuple(k * x for x in f)
+
+
+def _form_parity(f: Sequence[int]) -> int:
+    assert all(c % 2 == 0 for c in f[1:]), "unknown coefficient must be even"
+    return f[0] % 2
+
+
+@dataclass
+class _SymElement:
+    """Group element whose exponents are affine forms (torsion bits stay
+    plain ints)."""
+
+    klein: list[tuple[tuple[int, ...], tuple[int, ...]]]
+    free: list[tuple[int, ...]]
+    tor: list[int]
+
+
+def _sym_identity(spec: GroupSpec, n: int) -> _SymElement:
+    zero = _form_const(0, n)
+    return _SymElement(
+        [(zero, zero) for _ in range(spec.klein_count)],
+        [zero for _ in range(spec.free_rank)],
+        [0] * spec.torsion_count,
+    )
+
+
+def _sym_mul(x: _SymElement, y: _SymElement) -> _SymElement:
+    klein = []
+    for (s1, t1), (s2, t2) in zip(x.klein, y.klein):
+        sign = -1 if _form_parity(t1) else 1
+        klein.append((_form_add(s1, _form_scale(s2, sign)), _form_add(t1, t2)))
+    free = [_form_add(f1, f2) for f1, f2 in zip(x.free, y.free)]
+    tor = [e1 ^ e2 for e1, e2 in zip(x.tor, y.tor)]
+    return _SymElement(klein, free, tor)
+
+
+def _sym_pow(g: Element, k_form: Sequence[int], n: int) -> _SymElement:
+    """Concrete element raised to an affine exponent (which must have
+    even unknown coefficients)."""
+    k_parity = _form_parity(k_form)
+    klein = []
+    for s, t in g.klein:
+        if t % 2 == 0:
+            klein.append((_form_scale(k_form, s), _form_scale(k_form, t)))
+        else:
+            klein.append((_form_const(s * k_parity, n), _form_scale(k_form, t)))
+    free = [_form_scale(k_form, v) for v in g.free]
+    tor = [e * k_parity for e in g.tor]
+    return _SymElement(klein, free, tor)
+
+
+def fixed_subgroup_sweep(endo):
+    """morphism.fixed_subgroup by the blind sweep: every parity class's
+    system built from affine forms and solved, fixed by phi or not."""
+    spec = endo.spec
+    l, p, q = spec.klein_count, spec.free_rank, spec.torsion_count
+    n_unk = 2 * l + p
+
+    def unknown_form(slot: int, parity: int) -> tuple[int, ...]:
+        coeffs = [0] * n_unk
+        coeffs[slot] = 2
+        return (parity,) + tuple(coeffs)
+
+    def element_at(bits: Sequence[int], xhat: Sequence[int]) -> Element:
+        klein = tuple(
+            (bits[2 * i] + 2 * xhat[2 * i], bits[2 * i + 1] + 2 * xhat[2 * i + 1])
+            for i in range(l)
+        )
+        free = tuple(bits[2 * l + j] + 2 * xhat[2 * l + j] for j in range(p))
+        return Element(spec, klein, free, tuple(bits[2 * l + p:]))
+
+    gens = []
+    class_reps = []
+    solved = 0
+    for bits in itertools.product((0, 1), repeat=2 * l + p + q):
+        exp_forms = [unknown_form(slot, bits[slot]) for slot in range(n_unk)]
+        phi = _sym_identity(spec, n_unk)
+        for i in range(l):
+            phi = _sym_mul(phi, _sym_pow(endo.images[2 * i], exp_forms[2 * i], n_unk))
+            phi = _sym_mul(
+                phi, _sym_pow(endo.images[2 * i + 1], exp_forms[2 * i + 1], n_unk)
+            )
+        for j in range(p):
+            phi = _sym_mul(
+                phi, _sym_pow(endo.images[2 * l + j], exp_forms[2 * l + j], n_unk)
+            )
+        one = _form_const(1, n_unk)
+        for k in range(q):
+            if bits[2 * l + p + k]:
+                phi = _sym_mul(phi, _sym_pow(endo.images[2 * l + p + k], one, n_unk))
+
+        if phi.tor != list(bits[2 * l + p:]):
+            continue
+        phi_forms = []
+        for s_form, t_form in phi.klein:
+            phi_forms.append(s_form)
+            phi_forms.append(t_form)
+        phi_forms.extend(phi.free)
+        rows = []
+        rhs = []
+        for f_phi, f_g in zip(phi_forms, exp_forms):
+            rows.append([a - b for a, b in zip(f_phi[1:], f_g[1:])])
+            rhs.append(f_g[0] - f_phi[0])
+        sol = solve_linear(IntMatrix.from_rows(rows, n_unk), tuple(rhs))
+        if sol is None:
+            continue
+        solved += 1
+        if not any(bits):
+            assert not any(sol.offset), "identity must be fixed"
+            for row in sol.lattice.basis.entries:
+                gens.append(element_at(bits, row))
+        else:
+            rep = element_at(bits, sol.offset)
+            class_reps.append(rep)
+            gens.append(rep)
+    return FixResult(from_generators(spec, gens), tuple(class_reps), solved)

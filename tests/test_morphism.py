@@ -21,9 +21,15 @@ from fixlab.morphism import (
     is_automorphism,
     random_endo,
 )
-from fixlab.subgroup import from_generators, membership, rank, special_subgroup
+from fixlab.subgroup import (
+    from_generators,
+    generator_words,
+    membership,
+    rank,
+    special_subgroup,
+)
 
-from oracles import word_ball
+from oracles import fixed_subgroup_sweep, word_ball
 
 KF = GroupSpec(1, 1, 0)
 K = GroupSpec(1, 0, 0)
@@ -108,6 +114,18 @@ def test_fixed_subgroup_of_shear():
     # parity classes with odd b-exponent die; the other four survive
     assert out.solved_classes == 4
     assert len(out.class_reps) == 3
+    # phi_bar fixes the classes spanned by the a1 and c1 bits
+    assert out.classes_tried == 4
+
+
+def test_classes_tried_counts_the_classes_phi_bar_fixes():
+    # the identity fixes every class; the trivial group has one class
+    assert fixed_subgroup(identity_endo(KD)).classes_tried == 8
+    assert fixed_subgroup(identity_endo(BIG)).classes_tried == 32
+    trivial = fixed_subgroup(identity_endo(GroupSpec(0, 0, 0)))
+    assert trivial.classes_tried == 1 and trivial.solved_classes == 1
+    # a1 -> a1 d1 moves the a1 bit into d1: only classes with a1 even
+    assert fixed_subgroup(endo(KD, a1="a1 d1")).classes_tried == 4
 
 
 def test_fixed_subgroup_of_two_factor_shear():
@@ -148,6 +166,51 @@ def test_fixed_subgroup_of_random_endos_matches_oracle():
             fix = fixed_subgroup(phi).subgroup
             for g in word_ball(spec.generators(), 2):
                 assert membership(g, fix) == (apply(phi, g) == g), describe_endo(phi)
+
+
+def _elementary_moves(spec):
+    """The elementary automorphisms that the fix-sweep benchmark composes:
+    b_i -> b_i a_i and b_i -> b_i^-1 per Klein factor, c_j -> c_j^-1 and
+    c_j -> c_j d_k per free factor."""
+    moves = []
+    for i in range(1, spec.klein_count + 1):
+        moves += [{f"b{i}": f"b{i} a{i}"}, {f"b{i}": f"b{i}^-1"}]
+    for j in range(1, spec.free_rank + 1):
+        moves.append({f"c{j}": f"c{j}^-1"})
+        moves += [{f"c{j}": f"c{j} d{k}"} for k in range(1, spec.torsion_count + 1)]
+    return [endo_from_words(spec, m, fill_identity=True) for m in moves]
+
+
+def _differential_maps():
+    shapes = [(0, 0, 0), (0, 2, 0), (0, 0, 3), (1, 0, 0), (1, 1, 1), (2, 1, 1), (3, 0, 2)]
+    rng = random.Random(5)
+    for shape in shapes:
+        spec = GroupSpec(*shape)
+        yield identity_endo(spec)
+        flips = {f"b{i}": f"b{i}^-1" for i in range(1, spec.klein_count + 1)}
+        yield endo_from_words(spec, flips, fill_identity=True)
+        moves = _elementary_moves(spec)
+        yield from moves
+        for _ in range(2 if moves else 0):
+            out = identity_endo(spec)
+            for move in rng.sample(moves, len(moves)):
+                out = compose(move, out)
+            yield out
+        for seed in range(6):
+            yield random_endo(spec, seed=seed, max_word_len=2)
+    # fixed points a1^3 b1^t, t odd, in classes with an odd b1 exponent:
+    # the a1 part of their offset depends on the signs of the system
+    yield endo(K, a1="a1^-1", b1="a1^6 b1")
+    yield endo(BIG, a1="a1^-1", b1="a1^6 b1 c2", c1="c1 d1")
+
+
+def test_fixed_subgroup_matches_the_full_class_sweep():
+    for phi in _differential_maps():
+        new, old = fixed_subgroup(phi), fixed_subgroup_sweep(phi)
+        assert new.subgroup == old.subgroup, describe_endo(phi)
+        assert generator_words(new.subgroup) == generator_words(old.subgroup)
+        assert new.class_reps == old.class_reps, describe_endo(phi)
+        assert new.solved_classes == old.solved_classes, describe_endo(phi)
 
 
 def test_random_endo_is_deterministic_and_valid():
